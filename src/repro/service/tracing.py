@@ -322,7 +322,7 @@ def trace_stream_records(session: EvaluationSession,
                 batch.append(line)
                 if len(batch) < batch_lines:
                     continue
-                replayer.feed_lines(batch)
+                replayer.feed(batch)
                 batch = []
                 if deadline is not None:
                     deadline.check()
@@ -335,7 +335,7 @@ def trace_stream_records(session: EvaluationSession,
                     last_snap = accumulator.commands_seen
                     index += 1
             if batch:
-                replayer.feed_lines(batch)
+                replayer.feed(batch)
                 if deadline is not None:
                     deadline.check()
         except (ServiceError, ReproError, ValueError) as exc:

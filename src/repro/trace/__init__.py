@@ -18,8 +18,7 @@ from .ingest import (DEFAULT_CLOCK, TRACE_BACKENDS,
                      replay_trace_file, resolve_trace_format)
 from .columnar import (ColumnarReplayer, choose_trace_backend,
                        columnar_available, parse_columns,
-                       replay_lines_columnar, replay_records_columnar,
-                       trace_downgrades)
+                       replay_records_columnar, trace_downgrades)
 from .parallel import (evaluate_file_sharded, fold_file_shards,
                        replay_records_sharded, shard_assignments)
 
@@ -50,7 +49,6 @@ __all__ = [
     "choose_trace_backend",
     "columnar_available",
     "parse_columns",
-    "replay_lines_columnar",
     "replay_records_columnar",
     "trace_downgrades",
     "evaluate_file_sharded",

@@ -1,21 +1,34 @@
-"""Columnar fast path: batch parse, vectorized decode, batched fold.
+"""Columnar fast path: byte-block parse, vectorized decode, batched fold.
 
 The scalar pipeline walks a trace one line → one record → a handful of
 commands at a time, all in interpreted Python; it is correct and
 constant-memory but tops out around 0.2 M commands/s.  This module
-processes the same pipeline in *batches of lines*:
+processes the same pipeline a *block of lines* at a time:
 
-* **parse** — a batch of k6/mase lines becomes three column arrays via
-  one C-level tokenization pass: the lines are joined around a
-  sentinel token and split once, which yields exactly four tokens per
-  line (address, op, cycle, sentinel) *iff* every line is a
-  well-formed three-token payload.  Any structural mismatch — blank
-  lines, comments, wrong arity, unknown ops, bad numbers — drops the
-  whole batch to the scalar parser, which raises the exact
-  :class:`~repro.trace.formats.TraceFormatError` (same message, same
-  global line number) the scalar path would have raised.  NDJSON
-  always parses scalar (``json.loads`` dominates regardless) and only
-  the decode/fold is columnar.
+* **read** — :func:`iter_blocks` reads ~1 MiB of decompressed bytes
+  at a time from the file handle's binary layer and cuts each read at
+  its last newline; the remainder carries into the next block.  No
+  text decoding or per-line splitting happens on the fast path.
+
+* **parse** — :func:`parse_columns` turns one k6/mase block into
+  three column arrays with numpy alone.  One ``np.frombuffer`` view
+  gives the token boundaries; every line must hold exactly three
+  tokens.  Addresses (optional ``0x``, 1–15 hex digits) and cycles
+  (1–18 decimal digits, no leading zero) are converted eight digits
+  at a time: an unaligned uint64 view of the block loads the eight
+  bytes ending at each number, and byte-wise arithmetic checks and
+  folds them.  Ops match the format's vocabulary case-insensitively
+  as packed 16-byte keys.  A block the kernel cannot prove
+  well-formed — any lone ``\\r``, tab or other control byte,
+  non-ASCII byte, blank or comment line, sign, underscore, ``0x``
+  cycle, leading-zero or overlong number, unknown op, or a final line
+  without a newline — is decoded exactly as the streaming text handle
+  decodes it and re-parsed by the scalar parser, which raises the
+  exact :class:`~repro.trace.formats.TraceFormatError` (same message,
+  same global line number) the scalar path would have raised.  A
+  batch of ``str`` lines (the service's uploads) is encoded once and
+  takes the same kernel.  NDJSON always parses scalar (``json.loads``
+  dominates regardless) and only the decode/fold is columnar.
 
 * **decode** — :meth:`AddressDecoder.field_layout` turns the bit-slice
   policy into shift/mask pairs applied to the whole address array.
@@ -40,8 +53,9 @@ legality needs per-command timing the batch reduction discards.
 
 from __future__ import annotations
 
-from typing import (Dict, FrozenSet, Iterable, List, Optional,
-                    Sequence)
+import io
+from typing import (BinaryIO, Dict, FrozenSet, Iterable, Iterator, List,
+                    Optional, Sequence, Union)
 
 try:
     import numpy as _np
@@ -53,36 +67,36 @@ from ..description import Command
 from .decoder import AddressDecoder
 from .formats import K6_OPS, MASE_OPS, TraceRecord, iter_records
 
-#: Lines per parse batch for file/stream replay — large enough to
-#: amortize the per-batch array staging, small enough that a batch of
-#: 80-char lines stays ~5 MB of working set.
+#: Decompressed bytes per read of a trace file — ~40k k6 lines, a few
+#: MB of kernel working set.
+BLOCK_BYTES = 1 << 20
+
+#: Lines per batch for line-stream replay (service uploads).
 LINES_PER_BATCH = 65_536
 
 #: Records per batch when folding an in-memory record stream.
 RECORDS_PER_BATCH = 65_536
-
-#: Token that can never appear inside a whitespace-split trace line —
-#: joining a batch around it makes per-line token arity checkable on
-#: the flat token list.
-_SENTINEL = "\x00"
 
 #: Canonical record kinds as small integer codes for array work.
 _READ, _WRITE, _REFRESH = 0, 1, 2
 
 _KIND_CODES = {"read": _READ, "write": _WRITE, "refresh": _REFRESH}
 
+#: Longest numbers the kernel converts: 15 hex digits (60 bits) and 18
+#: decimal digits (< 10**18) both fit int64.
+_ADDRESS_DIGITS = 15
+_CYCLE_DIGITS = 18
 
-def _op_codes(ops: Dict[str, str]) -> Dict[str, int]:
-    """Vocabulary → kind-code map with upper-case aliases, so the hot
-    loop skips ``str.lower`` for the common all-caps trace ops."""
-    codes = {}
-    for op, kind in ops.items():
-        codes[op] = _KIND_CODES[kind]
-        codes[op.upper()] = _KIND_CODES[kind]
-    return codes
+#: Longest op the kernel matches, in bytes: two uint64 lanes.
+_OP_BYTES = 16
 
+#: Zero bytes either side of a block, so that every 8-byte lane the
+#: kernel loads (up to three left of a number's end, two from an op's
+#: start) stays inside the buffer.
+_PAD = 24
+_PAD_BYTES = bytes(_PAD)
 
-_CODE_MAPS = {"k6": _op_codes(K6_OPS), "mase": _op_codes(MASE_OPS)}
+_NEWLINE, _RETURN, _SPACE, _ZERO, _LOWER_X = 0x0A, 0x0D, 0x20, 0x30, 0x78
 
 # ----------------------------------------------------------------------
 # Degradation marker (the vector_downgrades idiom of repro.engine).
@@ -120,21 +134,151 @@ class _ColumnarOverflow(Exception):
 
 
 # ----------------------------------------------------------------------
+# Eight-byte lanes for the block kernel.
+#
+# The kernel loads the eight bytes ending at a number (or starting at
+# an op) as one little-endian uint64 — first byte lowest — and checks
+# and converts all eight at once with byte-wise arithmetic ("SIMD
+# within a register").  The block check admits only bytes 0x20..0x7E
+# besides newlines, so no byte of a lane ever carries into the next.
+# ----------------------------------------------------------------------
+_ONES = 0x0101010101010101
+
+if _np is not None:
+    _LANE = _np.dtype("<u8")
+    _HIGH_BITS = _np.uint64(0x80 * _ONES)
+    _NIBBLES = _np.uint64(0x0F * _ONES)
+    _LOW_BITS = _np.uint64(_ONES)
+    #: OR-ing it lower-cases ASCII letters (and maps ``_`` to DEL,
+    #: which the block check keeps out of the input).
+    _FOLD = _np.uint64(0x20 * _ONES)
+    _ASCII_ZEROS = _np.uint64(_ZERO * _ONES)
+    #: ``[k]`` keeps the last ``k`` bytes (in text order) of a lane.
+    _KEEP_LAST = _np.array([((1 << 8 * k) - 1) << 8 * (8 - k)
+                            for k in range(9)], dtype=_np.uint64)
+    #: ``[k]`` keeps the first ``k`` bytes (in text order) of a lane.
+    _KEEP_FIRST = _np.array([(1 << 8 * k) - 1 for k in range(9)],
+                            dtype=_np.uint64)
+
+
+def _bytes_between(lanes, low: int, high: int):
+    """0x80 in each byte of ``lanes`` that lies in [low, high], else 0
+    (bytes must be below 0x80)."""
+    return ((lanes + _np.uint64((0x80 - low) * _ONES))
+            & ~(lanes + _np.uint64((0x7F - high) * _ONES))
+            & _HIGH_BITS)
+
+
+def _lane_value(digits, base: int):
+    """The number whose eight base-``base`` digits, most significant
+    first in text order, are the bytes of ``digits``: pairs, then
+    quads, then the whole lane, one multiply and shift each.  The
+    multiplies wrap only bits above the kept result."""
+    lanes = (digits * _np.uint64(base * 256 + 1)) >> _np.uint64(8)
+    lanes = (((lanes & _np.uint64(0x00FF00FF00FF00FF))
+              * _np.uint64(base ** 2 * 65536 + 1)) >> _np.uint64(16))
+    return (((lanes & _np.uint64(0x0000FFFF0000FFFF))
+             * _np.uint64((base ** 4 << 32) + 1)) >> _np.uint64(32))
+
+
+def _numbers(lanes, end, count, base: int, max_digits: int):
+    """int64 values of the digit runs of ``count`` digits that end
+    just before ``end``; ``None`` when a run is longer than
+    ``max_digits`` or holds a byte that is not a base-``base`` digit.
+
+    Each run is read right-aligned, eight digits per lane from its
+    end; bytes left of a run's first digit are replaced by ``0``.
+    """
+    if int(count.max()) > max_digits:
+        return None
+    value = _np.zeros(count.shape[0], dtype=_np.uint64)
+    for lane in range((int(count.max()) + 7) // 8):
+        kept = _KEEP_LAST[_np.clip(count - 8 * lane, 0, 8)]
+        chars = ((lanes[end - 8 * (lane + 1)] & kept)
+                 | (_ASCII_ZEROS & ~kept))
+        if base == 16:
+            chars |= _FOLD
+            valid = (_bytes_between(chars, 0x30, 0x39)
+                     | _bytes_between(chars, 0x61, 0x66))
+            # '0'..'9' → 0..9 and 'a'..'f' → 1..6 + 9 (bit 6 set).
+            digits = ((chars & _NIBBLES)
+                      + ((chars >> _np.uint64(6)) & _LOW_BITS)
+                      * _np.uint64(9))
+        else:
+            valid = _bytes_between(chars, 0x30, 0x39)
+            digits = chars & _NIBBLES
+        if not _np.all(valid == _HIGH_BITS):
+            return None
+        value += (_lane_value(digits, base)
+                  * _np.uint64(base ** (8 * lane)))
+    return value.view(_np.int64)
+
+
+class _Vocabulary:
+    """A format's op vocabulary as sorted packed keys: each op's bytes
+    OR 0x20 (the case fold tokens get), zero-padded to
+    :data:`_OP_BYTES` and split into a low and a high lane."""
+
+    def __init__(self, ops: Dict[str, str]):
+        names = sorted(ops)
+        self.width = max(len(name) for name in names)
+        packed = _np.zeros((len(names), _OP_BYTES), dtype=_np.uint8)
+        for index, name in enumerate(names):
+            packed[index, :len(name)] = [byte | 0x20
+                                         for byte in name.encode()]
+        words = packed.view(_LANE)
+        order = _np.argsort(words[:, 0], kind="stable")
+        self.low = words[order, 0].astype(_np.uint64)
+        self.high = words[order, 1].astype(_np.uint64)
+        self.kinds = _np.array([_KIND_CODES[ops[names[index]]]
+                                for index in order], dtype=_np.int8)
+
+    def match(self, lanes, begin, count):
+        """Kind codes of the op tokens of ``count`` bytes starting at
+        ``begin``, matched case-insensitively; ``None`` when any op is
+        not in the vocabulary."""
+        if int(count.max()) > self.width:
+            return None
+        low = ((lanes[begin] | _FOLD)
+               & _KEEP_FIRST[_np.minimum(count, 8)])
+        high = ((lanes[begin + 8] | _FOLD)
+                & _KEEP_FIRST[_np.clip(count - 8, 0, 8)])
+        slot = _np.searchsorted(self.low, low)
+        _np.minimum(slot, self.low.shape[0] - 1, out=slot)
+        if not (_np.array_equal(self.low[slot], low)
+                and _np.array_equal(self.high[slot], high)):
+            return None
+        return self.kinds[slot]
+
+
+_VOCABULARIES = ({"k6": _Vocabulary(K6_OPS),
+                  "mase": _Vocabulary(MASE_OPS)}
+                 if _np is not None else {})
+
+
+# ----------------------------------------------------------------------
 # Batch parsing.
 # ----------------------------------------------------------------------
 class TraceColumns:
-    """One parsed batch as (addresses, kinds, cycles) int arrays."""
+    """One parsed batch as (addresses, kinds, cycles) int arrays.
 
-    def __init__(self, addresses, kinds, cycles):
+    ``lines`` counts the source lines the batch spanned, comments and
+    blanks included (the record count when built from records).
+    """
+
+    def __init__(self, addresses, kinds, cycles,
+                 lines: Optional[int] = None):
         self.addresses = addresses
         self.kinds = kinds
         self.cycles = cycles
+        self.lines = len(self) if lines is None else lines
 
     def __len__(self) -> int:
         return int(self.addresses.shape[0])
 
 
-def _columns_from_records(records: Iterable[TraceRecord]
+def _columns_from_records(records: Iterable[TraceRecord],
+                          lines: Optional[int] = None
                           ) -> TraceColumns:
     """Columns via the scalar record parser (the fallback path and
     the whole story for NDJSON).  Raises exactly what the scalar
@@ -151,75 +295,123 @@ def _columns_from_records(records: Iterable[TraceRecord]
         return TraceColumns(
             _np.array(addresses, dtype=_np.int64),
             _np.array(kinds, dtype=_np.int8),
-            _np.array(cycles, dtype=_np.int64))
+            _np.array(cycles, dtype=_np.int64), lines)
     except OverflowError:
         raise _ColumnarOverflow() from None
 
 
-def parse_columns(lines: Sequence[str], fmt: str,
+def _decode_block(block: bytes) -> List[str]:
+    """The text lines a streaming trace handle yields for ``block``.
+
+    Same UTF-8 ``replace`` decoding and universal newlines as
+    :func:`~repro.trace.formats.open_trace_lines`; because blocks are
+    cut just after a ``\\n``, decoding them one at a time gives exactly
+    the lines of decoding the whole file at once.
+    """
+    return list(io.TextIOWrapper(io.BytesIO(block), encoding="utf-8",
+                                 errors="replace"))
+
+
+def parse_columns(batch: Union[bytes, Sequence[str]], fmt: str,
                   source: str = "<trace>",
                   start: int = 1) -> TraceColumns:
     """Parse one batch of trace lines into column arrays.
 
-    The fast path handles uniform three-token k6/mase batches in a
-    single split; anything else (comments, blank lines, malformed
-    payloads, NDJSON) re-parses the batch through the scalar parser —
-    slower, but byte-identical in both results and errors.  ``start``
-    is the global 1-based line number of ``lines[0]``.
+    ``batch`` is a byte block of whole lines (as :func:`iter_blocks`
+    cuts them) or a sequence of text lines, which is encoded once and
+    takes the same kernel.  Well-formed k6/mase batches parse in
+    numpy; anything else (comments, blank lines, malformed payloads,
+    NDJSON) re-parses through the scalar parser — slower, but
+    byte-identical in both results and errors.  ``start`` is the
+    global 1-based line number of the batch's first line.
     """
     if _np is None:
         raise TraceError("columnar parsing requires numpy "
                          "(the repro[vector] extra)", 0.0, None)
-    n = len(lines)
-    if n == 0:
-        return TraceColumns(_np.empty(0, dtype=_np.int64),
-                            _np.empty(0, dtype=_np.int8),
-                            _np.empty(0, dtype=_np.int64))
-    codes = _CODE_MAPS.get(fmt)
-    if codes is not None:
-        columns = _parse_tokenized(lines, n, codes)
-        if columns is not None:
+    lines: Optional[Sequence[str]] = None
+    block: Optional[bytes] = None
+    if isinstance(batch, bytes):
+        block = batch
+    else:
+        lines = batch
+        try:
+            block = ("\n".join(lines) + "\n").encode("ascii")
+        except UnicodeEncodeError:
+            pass  # non-ASCII: the kernel would refuse the block
+    vocabulary = _VOCABULARIES.get(fmt)
+    if vocabulary is not None and block is not None:
+        columns = _parse_block(block, vocabulary)
+        if columns is not None and (lines is None
+                                    or len(columns) == len(lines)):
             return columns
     # Scalar fallback: exact errors, exact records, global numbering.
+    if lines is None:
+        lines = _decode_block(batch)
     return _columns_from_records(
-        iter_records(iter(lines), fmt, source=source, start=start))
+        iter_records(iter(lines), fmt, source=source, start=start),
+        len(lines))
 
 
-def _parse_tokenized(lines: Sequence[str], n: int,
-                     codes: Dict[str, int]) -> Optional[TraceColumns]:
-    """The sentinel-join fast path; ``None`` means "go scalar"."""
-    flat = (" " + _SENTINEL + " ").join(lines).split()
-    # A well-formed batch is exactly (addr op cycle sentinel)* — the
-    # sentinel positions prove per-line arity on the flat list (a
-    # blank line next to a six-token line keeps the total but shifts
-    # a payload token into a sentinel slot).
-    if len(flat) != 4 * n - 1:
+def _parse_block(block: bytes,
+                 vocabulary: _Vocabulary) -> Optional[TraceColumns]:
+    """The byte-block kernel; ``None`` means "not provably
+    well-formed, go scalar"."""
+    if not block.endswith(b"\n"):
         return None
-    if n > 1 and set(flat[3::4]) != {_SENTINEL}:
-        return None
-    try:
-        addresses = [int(token, 16) for token in flat[0::4]]
-        cycles = [int(token, 0) for token in flat[2::4]]
-    except ValueError:
-        return None
-    op_tokens = flat[1::4]
-    try:
-        kinds = [codes[token] for token in op_tokens]
-    except KeyError:
-        try:
-            kinds = [codes[token.lower()] for token in op_tokens]
-        except KeyError:
+    padded = b"".join((_PAD_BYTES, block, _PAD_BYTES))
+    data = _np.frombuffer(padded, dtype=_np.uint8)
+    # Every 8-byte window of the buffer as one lane (unaligned view).
+    lanes = _np.ndarray((data.shape[0] - 7,), dtype=_LANE,
+                        buffer=padded, strides=(1,))
+    newlines = _np.flatnonzero(data == _NEWLINE)
+    lines = newlines.shape[0]
+    # Besides the newlines, only printable ASCII (0x20..0x7E) and the
+    # \r of a CRLF line end, which the text handle folds into the
+    # newline: no lone \r (the text handle would split there), tab,
+    # other control byte, DEL or non-ASCII byte.
+    body = data[_PAD:-_PAD]
+    returns = _np.count_nonzero(body - _np.uint8(_SPACE) > 0x5E) - lines
+    if returns:
+        at = _np.flatnonzero(data == _RETURN)
+        if (at.shape[0] != returns
+                or not _np.all(data[at + 1] == _NEWLINE)):
             return None
-    try:
-        address_array = _np.array(addresses, dtype=_np.int64)
-        cycle_array = _np.array(cycles, dtype=_np.int64)
-    except OverflowError:
+    token = data > _SPACE
+    edges = _np.flatnonzero(token[1:] != token[:-1]) + 1
+    starts = edges[0::2]
+    ends = edges[1::2]  # exclusive
+    # Exactly three tokens per line: 3n tokens in all, each line's
+    # first token after the previous newline and its third before its
+    # own.  Blank lines and wrong arity fail here; comments fail here
+    # or in the digit checks below.
+    if starts.shape[0] != 3 * lines:
         return None
-    if int(address_array.min()) < 0 or int(cycle_array.min()) < 0:
-        return None  # scalar parser raises the negative-value error
-    return TraceColumns(address_array,
-                        _np.array(kinds, dtype=_np.int8),
-                        cycle_array)
+    if not (_np.all(starts[3::3] > newlines[:-1])
+            and _np.all(ends[2::3] <= newlines)):
+        return None
+
+    begin, end = starts[0::3], ends[0::3]
+    count = end - begin
+    prefixed = ((count > 2) & (data[begin] == _ZERO)
+                & ((data[begin + 1] | 0x20) == _LOWER_X))
+    addresses = _numbers(lanes, end, count - 2 * prefixed, 16,
+                         _ADDRESS_DIGITS)
+    if addresses is None:
+        return None
+
+    begin, end = starts[2::3], ends[2::3]
+    count = end - begin
+    if _np.any((data[begin] == _ZERO) & (count > 1)):
+        return None  # 00, 010, 0x1F: int(token, 0) rules, go scalar
+    cycles = _numbers(lanes, end, count, 10, _CYCLE_DIGITS)
+    if cycles is None:
+        return None
+
+    begin, end = starts[1::3], ends[1::3]
+    kinds = vocabulary.match(lanes, begin, end - begin)
+    if kinds is None:
+        return None
+    return TraceColumns(addresses, kinds, cycles)
 
 
 # ----------------------------------------------------------------------
@@ -323,13 +515,13 @@ def fold_columns(accumulator: TraceAccumulator, columns: TraceColumns,
 # Streaming drivers.
 # ----------------------------------------------------------------------
 class ColumnarReplayer:
-    """Batched replay of one line stream into a
+    """Batched replay of one trace stream into a
     :class:`TraceAccumulator`, with scalar fallbacks per batch.
 
-    Feed line batches with :meth:`feed_lines`; the replayer tracks
-    global line numbers (for exact error parity), carries the open-row
-    register across batches and across any scalar-fallback batch, and
-    optionally masks to a (channel, rank) shard set.
+    Feed byte blocks or line batches with :meth:`feed`; the replayer
+    tracks global line numbers (for exact error parity), carries the
+    open-row register across batches and across any scalar-fallback
+    batch, and optionally masks to a (channel, rank) shard set.
     """
 
     def __init__(self, accumulator: TraceAccumulator, fmt: str,
@@ -354,16 +546,20 @@ class ColumnarReplayer:
         self.open_rows: Dict[int, int] = {}
         self._next_line = 1
 
-    def feed_lines(self, lines: Sequence[str]) -> None:
-        """Parse and fold one batch of lines."""
+    def feed(self, batch: Union[bytes, Sequence[str]]) -> None:
+        """Parse and fold one batch: a byte block of whole lines or a
+        sequence of text lines (see :func:`parse_columns`)."""
         start = self._next_line
-        self._next_line += len(lines)
         try:
-            columns = parse_columns(lines, self.fmt,
+            columns = parse_columns(batch, self.fmt,
                                     source=self.source, start=start)
         except _ColumnarOverflow:
+            lines = (_decode_block(batch) if isinstance(batch, bytes)
+                     else batch)
+            self._next_line += len(lines)
             self._feed_scalar(lines, start)
             return
+        self._next_line += columns.lines
         fold_columns(self.accumulator, columns, self.decoder,
                      self.period, self.open_rows, shards=self.shards)
 
@@ -383,24 +579,41 @@ class ColumnarReplayer:
             open_rows=self.open_rows))
 
 
-def replay_lines_columnar(accumulator: TraceAccumulator,
-                          lines: Iterable[str], fmt: str,
+def iter_blocks(stream: BinaryIO) -> Iterator[bytes]:
+    """Cut a binary stream into blocks of whole lines.
+
+    Reads :data:`BLOCK_BYTES` at a time and cuts each read just after
+    its last ``\n``; the remainder carries into the next block, so
+    only the final block can end without a newline.
+    """
+    carry = b""
+    while True:
+        data = stream.read(BLOCK_BYTES)
+        if not data:
+            break
+        cut = data.rfind(b"\n") + 1
+        if cut == 0:
+            carry += data
+            continue
+        yield b"".join((carry, memoryview(data)[:cut]))
+        carry = data[cut:]
+    if carry:
+        yield carry
+
+
+def replay_bytes_columnar(accumulator: TraceAccumulator,
+                          stream: BinaryIO, fmt: str,
                           decoder: AddressDecoder, clock: float,
                           source: str = "<trace>",
-                          shards: Optional[FrozenSet[int]] = None,
-                          batch_lines: int = LINES_PER_BATCH
+                          shards: Optional[FrozenSet[int]] = None
                           ) -> TraceAccumulator:
-    """Drive a whole line iterable through the columnar replayer."""
+    """Drive a binary trace stream — the ``.buffer`` of
+    :func:`~repro.trace.formats.open_trace_lines` — through the
+    columnar replayer one byte block at a time."""
     replayer = ColumnarReplayer(accumulator, fmt, decoder, clock,
                                 source=source, shards=shards)
-    batch: List[str] = []
-    for line in lines:
-        batch.append(line)
-        if len(batch) >= batch_lines:
-            replayer.feed_lines(batch)
-            batch = []
-    if batch:
-        replayer.feed_lines(batch)
+    for block in iter_blocks(stream):
+        replayer.feed(block)
     return accumulator
 
 

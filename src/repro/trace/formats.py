@@ -31,7 +31,7 @@ import io
 import json
 import zlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator
+from typing import Dict, Iterable, Iterator, List
 
 from ..core.trace import TraceError
 from ..errors import ModelError
@@ -260,15 +260,20 @@ def iter_decompressed(chunks: Iterable[bytes]) -> Iterator[bytes]:
 
 
 def iter_lines(chunks: Iterable[bytes]) -> Iterator[str]:
-    """Split a byte-chunk stream into text lines (constant memory)."""
-    buffer = b""
+    """Split a byte-chunk stream into text lines (constant memory).
+
+    Each chunk is split once; only its unterminated tail carries into
+    the next chunk, so the cost stays linear in the chunk size.
+    """
+    pending: List[bytes] = []
     for chunk in chunks:
-        buffer += chunk
-        while True:
-            cut = buffer.find(b"\n")
-            if cut < 0:
-                break
-            yield buffer[:cut].decode("utf-8", "replace")
-            buffer = buffer[cut + 1:]
-    if buffer:
-        yield buffer.decode("utf-8", "replace")
+        pending.append(chunk)
+        if b"\n" not in chunk:
+            continue
+        lines = b"".join(pending).split(b"\n")
+        pending = [lines.pop()]
+        for line in lines:
+            yield line.decode("utf-8", "replace")
+    tail = b"".join(pending)
+    if tail:
+        yield tail.decode("utf-8", "replace")

@@ -151,7 +151,7 @@ def replay_trace_file(model: DramPowerModel, path,
     :mod:`repro.engine.vector`.
     """
     from .columnar import (choose_trace_backend, columnar_available,
-                           record_downgrade, replay_lines_columnar)
+                           record_downgrade, replay_bytes_columnar)
     if decoder is None:
         decoder = AddressDecoder.from_device(model.device)
     resolved_fmt = resolve_trace_format(path, fmt)
@@ -176,8 +176,9 @@ def replay_trace_file(model: DramPowerModel, path,
         accumulator = TraceAccumulator(model, strict=False)
         handle = open_trace_lines(path)
         try:
-            replay_lines_columnar(accumulator, handle, resolved_fmt,
-                                  decoder, clock, source=str(path))
+            replay_bytes_columnar(accumulator, handle.buffer,
+                                  resolved_fmt, decoder, clock,
+                                  source=str(path))
         finally:
             handle.close()
         return accumulator, "vector"

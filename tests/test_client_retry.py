@@ -12,6 +12,10 @@ from repro.service import (FaultInjector, FaultRule, ServiceLimits,
                            create_service)
 
 
+#: serve_forever() poll interval: shutdown() waits up to one poll.
+POLL_INTERVAL = 0.01
+
+
 class FakeClock:
     """A controllable monotonic clock; sleeping advances it."""
 
@@ -245,7 +249,8 @@ class TestAgainstRealServer:
         limits = ServiceLimits(retry_after=0.0)
         svc = create_service(host="127.0.0.1", port=0, limits=limits)
         thread = threading.Thread(target=svc.serve_forever,
-                                  daemon=True)
+                                  daemon=True,
+                                  kwargs={"poll_interval": POLL_INTERVAL})
         thread.start()
         yield svc
         svc.shutdown()

@@ -13,12 +13,17 @@ from repro.service.faults import FaultRule
 MC = {"samples": 6, "seed": 3}
 
 
+#: serve_forever() poll interval: shutdown() waits up to one poll.
+POLL_INTERVAL = 0.01
+
+
 @pytest.fixture()
 def jobs_service(tmp_path):
     svc = create_service(host="127.0.0.1", port=0,
                          jobs_dir=str(tmp_path / "jobs"))
     svc.jobs.poll_interval = 0.02
-    thread = threading.Thread(target=svc.serve_forever, daemon=True)
+    thread = threading.Thread(target=svc.serve_forever, daemon=True,
+                              kwargs={"poll_interval": POLL_INTERVAL})
     thread.start()
     yield svc
     svc.shutdown()
@@ -167,7 +172,8 @@ class TestJobsDisabled:
     def test_disabled_service_says_503_with_retry_after(self):
         svc = create_service(host="127.0.0.1", port=0)
         thread = threading.Thread(target=svc.serve_forever,
-                                  daemon=True)
+                                  daemon=True,
+                                  kwargs={"poll_interval": POLL_INTERVAL})
         thread.start()
         try:
             client = _client(svc, retry=NO_RETRY, breaker=None)

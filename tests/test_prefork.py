@@ -28,6 +28,10 @@ from repro.service.routing import (ROUTED_HEADER, WorkerRegistry,
                                    sum_counter_dicts)
 
 
+#: serve_forever() poll interval: shutdown() waits up to one poll.
+POLL_INTERVAL = 0.01
+
+
 # ----------------------------------------------------------------------
 # Rendezvous hashing.
 # ----------------------------------------------------------------------
@@ -165,7 +169,8 @@ def test_shared_with_aliases_state():
     assert direct.counters is primary.counters
     assert direct.result_cache is primary.result_cache
     threads = [threading.Thread(target=svc.serve_forever,
-                                daemon=True)
+                                daemon=True,
+                                kwargs={"poll_interval": POLL_INTERVAL})
                for svc in (primary, direct)]
     for thread in threads:
         thread.start()

@@ -25,10 +25,15 @@ from repro.service.jsonapi import (device_from_payload,
                                    evaluate_payload, sweep_kinds)
 
 
+#: serve_forever() poll interval: shutdown() waits up to one poll.
+POLL_INTERVAL = 0.01
+
+
 @pytest.fixture()
 def service():
     svc = create_service(host="127.0.0.1", port=0)
-    thread = threading.Thread(target=svc.serve_forever, daemon=True)
+    thread = threading.Thread(target=svc.serve_forever, daemon=True,
+                              kwargs={"poll_interval": POLL_INTERVAL})
     thread.start()
     yield svc
     svc.shutdown()
@@ -235,7 +240,8 @@ class TestShutdown:
     def test_signal_handler_stops_the_serve_loop(self):
         svc = create_service(host="127.0.0.1", port=0)
         thread = threading.Thread(target=svc.serve_forever,
-                                  daemon=True)
+                                  daemon=True,
+                                  kwargs={"poll_interval": POLL_INTERVAL})
         thread.start()
         client = ServiceClient(
             f"http://127.0.0.1:{svc.server_port}")

@@ -14,8 +14,13 @@ from repro.service import create_service
 from repro.service.auth import (API_KEYS_ENV, ApiKeyAuth, parse_keys)
 
 
+#: serve_forever() poll interval: shutdown() waits up to one poll.
+POLL_INTERVAL = 0.01
+
+
 def _serve(svc):
-    thread = threading.Thread(target=svc.serve_forever, daemon=True)
+    thread = threading.Thread(target=svc.serve_forever, daemon=True,
+                              kwargs={"poll_interval": POLL_INTERVAL})
     thread.start()
     return thread
 

@@ -15,9 +15,14 @@ from repro.service import (AdmissionController, AdmissionShed, Deadline,
                            create_service)
 
 
+#: serve_forever() poll interval: shutdown() waits up to one poll.
+POLL_INTERVAL = 0.01
+
+
 def _start_service(limits):
     svc = create_service(host="127.0.0.1", port=0, limits=limits)
-    thread = threading.Thread(target=svc.serve_forever, daemon=True)
+    thread = threading.Thread(target=svc.serve_forever, daemon=True,
+                              kwargs={"poll_interval": POLL_INTERVAL})
     thread.start()
     return svc, thread
 

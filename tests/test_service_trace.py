@@ -20,10 +20,15 @@ from repro.trace import (DEFAULT_CLOCK, AddressDecoder,
 from repro import DramPowerModel
 
 
+#: serve_forever() poll interval: shutdown() waits up to one poll.
+POLL_INTERVAL = 0.01
+
+
 @pytest.fixture()
 def service():
     svc = create_service(host="127.0.0.1", port=0)
-    thread = threading.Thread(target=svc.serve_forever, daemon=True)
+    thread = threading.Thread(target=svc.serve_forever, daemon=True,
+                              kwargs={"poll_interval": POLL_INTERVAL})
     thread.start()
     yield svc
     svc.shutdown()

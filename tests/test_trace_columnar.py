@@ -8,6 +8,7 @@ formats, decode policies, shard geometries and batch boundaries.
 
 import importlib.util
 import json
+import random
 import sys
 
 import pytest
@@ -18,10 +19,12 @@ from repro.devices import build_device
 from repro.trace import (DEFAULT_CLOCK, AddressDecoder,
                          TraceFormatError, accumulate_records,
                          choose_trace_backend, columnar_available,
-                         evaluate_trace_file, iter_records,
-                         parse_columns, replay_lines_columnar,
-                         replay_trace_file)
-from repro.trace.columnar import reset_downgrades, trace_downgrades
+                         commands_from_records, evaluate_trace_file,
+                         fold_file_shards, iter_records, parse_columns,
+                         read_trace, replay_trace_file)
+from repro.trace import columnar
+from repro.trace.columnar import (LINES_PER_BATCH, ColumnarReplayer,
+                                  reset_downgrades, trace_downgrades)
 
 needs_numpy = pytest.mark.skipif(not columnar_available(),
                                  reason="numpy not installed")
@@ -67,6 +70,16 @@ def _fingerprint(accumulator):
             accumulator.commands_seen)
 
 
+def _replay_text(accumulator, lines, decoder,
+                 batch_lines=LINES_PER_BATCH):
+    """Feed k6 text lines to the replayer in batches, as the service
+    feeds an upload."""
+    replayer = ColumnarReplayer(accumulator, "k6", decoder,
+                                DEFAULT_CLOCK)
+    for low in range(0, len(lines), batch_lines):
+        replayer.feed(lines[low:low + batch_lines])
+
+
 def _serial_fingerprint(model, records, decoder):
     accumulator = accumulate_records(model, records, decoder=decoder,
                                      backend="serial")
@@ -110,9 +123,7 @@ class TestColumnarParity:
                                      decoder)
         for batch_lines in (1, 3, 17, 499, 10_000):
             accumulator = TraceAccumulator(ddr3_model, strict=False)
-            replay_lines_columnar(accumulator, iter(lines), "k6",
-                                  decoder, DEFAULT_CLOCK,
-                                  batch_lines=batch_lines)
+            _replay_text(accumulator, lines, decoder, batch_lines)
             assert _fingerprint(accumulator) == expect
 
     def test_comments_blanks_and_case_match_scalar(self, ddr3_model):
@@ -124,8 +135,7 @@ class TestColumnarParity:
         expect = _serial_fingerprint(ddr3_model, iter(records),
                                      decoder)
         accumulator = TraceAccumulator(ddr3_model, strict=False)
-        replay_lines_columnar(accumulator, iter(lines), "k6", decoder,
-                              DEFAULT_CLOCK)
+        _replay_text(accumulator, lines, decoder)
         assert _fingerprint(accumulator) == expect
 
     def test_record_stream_backend_parity(self, ddr3_model):
@@ -154,8 +164,7 @@ class TestColumnarParity:
         expect = _serial_fingerprint(ddr3_model, iter(records),
                                      decoder)
         accumulator = TraceAccumulator(ddr3_model, strict=False)
-        replay_lines_columnar(accumulator, iter(lines), "k6", decoder,
-                              DEFAULT_CLOCK, batch_lines=10)
+        _replay_text(accumulator, lines, decoder, batch_lines=10)
         assert _fingerprint(accumulator) == expect
 
 
@@ -188,10 +197,10 @@ class TestErrorParity:
         assert serial[1] == 21  # the global line number, not batch
 
     def test_blank_plus_six_token_line_goes_scalar(self):
-        # A blank line next to a double line keeps the flat token
-        # count at 4n-1 but shifts payload into the sentinel slots —
-        # the arity check must catch it and the scalar parser must
-        # raise its usual error.
+        # A blank line next to a double line keeps the token count
+        # at three per line on average but not on every line — the
+        # per-line arity check must catch it and the scalar parser
+        # must raise its usual error.
         lines = ["0x10 READ 1", "",
                  "0x20 READ 2 0x30 READ 3"]
         with pytest.raises(TraceFormatError) as excinfo:
@@ -207,6 +216,249 @@ class TestErrorParity:
         kinds = {0: "read", 1: "write", 2: "refresh"}
         assert ([kinds[int(code)] for code in columns.kinds]
                 == [r.kind for r in records])
+
+
+#: Lines the byte kernel must refuse (the block goes scalar), with
+#: what the scalar parser makes of them: a record or an exact error.
+REFUSED = {
+    "lone_cr": b"0x10 READ 1\r0x20 READ 2\n",
+    "cr_in_line": b"0x10 READ\r 1\n",
+    "cr_cr_lf": b"0x10 READ 1\r\r\n",
+    "tab": b"0x10\tREAD\t1\n",
+    "vertical_tab": b"0x10\x0bREAD 1\n",
+    "file_separator": b"0x10\x1cREAD 1\n",
+    "nbsp": b"0x10\xc2\xa0READ 1\n",
+    "blank": b"\n",
+    "spaces_only": b"   \n",
+    "hash_comment": b"# 0x10 READ 1\n",
+    "semicolon_comment": b"; note\n",
+    "slash_comment": b"// note\n",
+    "invalid_utf8_cycle": b"0x10 READ \xff\n",
+    "invalid_utf8_op": b"0x10 R\xc3\xa9AD 1\n",
+    "truncated_utf8": b"0x10 READ 1 \xe2\x82\n",
+    "hex16_fits": b"0x0123456789abcdef READ 1\n",
+    "hex16_overflow": b"0xFFFFFFFFFFFFFFFF READ 1\n",
+    "prefix_alone": b"0x READ 1\n",
+    "double_prefix": b"0x0x5 READ 1\n",
+    "address_underscore": b"0x1_0 READ 1\n",
+    "cycle_underscore": b"0x10 READ 1_0\n",
+    "address_plus": b"+0x10 READ 1\n",
+    "cycle_plus": b"0x10 READ +1\n",
+    "address_minus": b"-0x10 READ 1\n",
+    "cycle_minus": b"0x10 READ -1\n",
+    "cycle_00": b"0x10 READ 00\n",
+    "cycle_010": b"0x10 READ 010\n",
+    "cycle_hex": b"0x10 READ 0x1F\n",
+    "cycle_19_digits": b"0x10 READ 1234567890123456789\n",
+    "cycle_overflow": b"0x10 READ 99999999999999999999\n",
+    "bad_address": b"zz READ 1\n",
+    "unknown_op": b"0x10 BOGUS 1\n",
+    "op_too_long": b"0x10 READWRITEREF 1\n",
+    "op_del": b"0x10 RE\x7fD 1\n",
+    "two_tokens": b"0x10 READ\n",
+    "four_tokens": b"0x10 READ 1 2\n",
+    "no_final_newline": b"0x10 READ 1",
+}
+
+#: Lines the kernel parses itself, identically to the scalar parser.
+ACCEPTED = {
+    "canonical": b"0x10 READ 1\n",
+    "crlf": b"0x10 READ 1\r\n",
+    "crlf_after_space": b"0x10 READ 1 \r\n",
+    "upper_prefix": b"0X1F read 7\n",
+    "no_prefix": b"1f Read 7\n",
+    "hex_b_digit": b"0b1 WRITE 3\n",
+    "zero_address": b"0 REF 0\n",
+    "spacing": b"  0x10   wRiTe  5  \n",
+    "hex15": b"0xFFFFFFFFFFFFFFF READ 1\n",
+    "cycle18": b"0x10 READ 999999999999999999\n",
+}
+
+#: Format-specific ops: mixed case, and k6's nine-byte ops (one
+#: unknown op shares its first eight bytes with a known one).
+FORMAT_OPS = {
+    "k6": ({"p_lock_rd": b"0x10 p_LoCk_Rd 1\n",
+            "p_lock_wr": b"0x10 P_LOCK_WR 1\n",
+            "p_mem_rd": b"0x10 P_MEM_RD 1\n"},
+           {"p_lock_rx": b"0x10 P_LOCK_RX 1\n",
+            "ifetch": b"0x10 IFETCH 1\n",
+            "p_mem_rd_del": b"0x10 P_MEM\x7fRD 1\n"}),
+    "mase": ({"ifetch": b"0x10 iFeTcH 1\n"},
+             {"p_mem_rd": b"0x10 P_MEM_RD 1\n"}),
+}
+
+
+def _good_block(fmt, count, seed=3):
+    return ("\n".join(make_lines(fmt, count, seed=seed)) + "\n").encode()
+
+
+def _outcome(run):
+    """A replay's fingerprint, or its exact error and line number."""
+    try:
+        return _fingerprint(run())
+    except TraceFormatError as exc:
+        return ("error", str(exc), exc.line)
+
+
+def _replay_outcome(model, decoder, path, fmt, backend):
+    return _outcome(lambda: replay_trace_file(
+        model, path, fmt=fmt, decoder=decoder, backend=backend)[0])
+
+
+def _records_or_error(path, fmt):
+    try:
+        return [(r.address, r.kind, r.cycle)
+                for r in read_trace(path, fmt)]
+    except TraceFormatError as exc:
+        return ("error", str(exc), exc.line)
+
+
+def _columns_or_error(block, fmt, source):
+    kinds = {0: "read", 1: "write", 2: "refresh"}
+    try:
+        columns = parse_columns(block, fmt, source=source)
+    except TraceFormatError as exc:
+        return ("error", str(exc), exc.line)
+    return [(int(a), kinds[int(k)], int(c)) for a, k, c in
+            zip(columns.addresses, columns.kinds, columns.cycles)]
+
+
+def _assert_matches_scalar(model, decoder, path, fmt):
+    """vector == serial on the file, and the one-block parse of its
+    bytes == the scalar records of the decoded file."""
+    serial = _replay_outcome(model, decoder, path, fmt, "serial")
+    assert _replay_outcome(model, decoder, path, fmt,
+                           "vector") == serial
+    data = path.read_bytes()
+    try:
+        columns = _columns_or_error(data, fmt, str(path))
+    except columnar._ColumnarOverflow:
+        return  # beyond int64: the replayer folds that batch scalar
+    assert columns == _records_or_error(path, fmt)
+
+
+def _kernel_accepts(block, fmt):
+    vocabulary = columnar._VOCABULARIES[fmt]
+    return columnar._parse_block(block, vocabulary) is not None
+
+
+def _cases(fmt, accepted):
+    cases = dict(ACCEPTED if accepted else REFUSED)
+    cases.update(FORMAT_OPS[fmt][0 if accepted else 1])
+    return sorted(cases.items())
+
+
+@needs_numpy
+class TestByteKernel:
+    """The byte-block kernel against the scalar oracle: what it
+    accepts parses identically, what it refuses goes scalar with the
+    scalar path's exact records and errors."""
+
+    @pytest.mark.parametrize("fmt", ["k6", "mase"])
+    def test_refuses_edge_cases(self, fmt):
+        assert _kernel_accepts(_good_block(fmt, 20), fmt)
+        for name, line in _cases(fmt, accepted=False):
+            block = _good_block(fmt, 10) + line + _good_block(fmt, 10)
+            assert not _kernel_accepts(block, fmt), name
+
+    @pytest.mark.parametrize("fmt", ["k6", "mase"])
+    def test_accepts_well_formed_variants(self, fmt):
+        for name, line in _cases(fmt, accepted=True):
+            block = _good_block(fmt, 10) + line + _good_block(fmt, 10)
+            assert _kernel_accepts(block, fmt), name
+
+    @pytest.mark.parametrize("fmt", ["k6", "mase"])
+    @pytest.mark.parametrize("accepted", [True, False])
+    def test_edge_cases_match_scalar(self, ddr3_model, tmp_path, fmt,
+                                     accepted):
+        decoder = AddressDecoder.from_device(ddr3_model.device)
+        for name, line in _cases(fmt, accepted):
+            path = tmp_path / f"{name}.trc"
+            tail = b"" if name == "no_final_newline" else _good_block(
+                fmt, 30, seed=5)
+            path.write_bytes(_good_block(fmt, 30) + line + tail)
+            _assert_matches_scalar(ddr3_model, decoder, path, fmt)
+
+    @pytest.mark.parametrize("fmt", ["k6", "mase"])
+    def test_text_line_batches_match_scalar(self, fmt):
+        for name, line in _cases(fmt, False) + _cases(fmt, True):
+            lines = (make_lines(fmt, 5)
+                     + line.decode("utf-8", "replace").split("\n")
+                     + make_lines(fmt, 5, seed=9))
+            try:
+                expect = [(r.address, r.kind, r.cycle) for r in
+                          iter_records(iter(lines), fmt, source="u")]
+            except TraceFormatError as exc:
+                expect = ("error", str(exc), exc.line)
+            try:
+                got = _columns_or_error(lines, fmt, "u")
+            except columnar._ColumnarOverflow:
+                continue
+            assert got == expect, name
+
+    @pytest.mark.parametrize("fmt", ["k6", "mase"])
+    def test_block_boundaries_and_straddling_errors(
+            self, ddr3_model, tmp_path, monkeypatch, fmt):
+        decoder = AddressDecoder.from_device(ddr3_model.device)
+        clean = (_good_block(fmt, 12) + b"# comment\n\r\n"
+                 + _good_block(fmt, 12, seed=4) + b"0x10 READ 1\r\n"
+                 + _good_block(fmt, 12, seed=6))
+        broken = clean + b"0x10 READ 010\n" + _good_block(fmt, 4)
+        for name, data in (("clean", clean), ("broken", broken)):
+            path = tmp_path / f"{name}.trc"
+            path.write_bytes(data)
+            serial = _replay_outcome(ddr3_model, decoder, path, fmt,
+                                     "serial")
+            assert (name == "broken") == (serial[0] == "error")
+            # Every block size from smaller than a line to the whole
+            # file: lines and the error line straddle cuts everywhere.
+            for size in list(range(1, 80, 3)) + [4096]:
+                monkeypatch.setattr(columnar, "BLOCK_BYTES", size)
+                vector = _replay_outcome(ddr3_model, decoder, path,
+                                         fmt, "vector")
+                assert vector == serial, (name, size)
+
+    def test_random_mixtures_match_scalar(self, ddr3_model, tmp_path,
+                                          monkeypatch):
+        decoder = AddressDecoder.from_device(ddr3_model.device)
+        rng = random.Random(13)
+        good = make_lines("k6", 400)
+        edges = ([line for _, line in _cases("k6", True)]
+                 + [REFUSED[name] for name in
+                    ("cr_cr_lf", "lone_cr", "tab", "blank", "hash_comment",
+                     "nbsp", "cycle_00", "cycle_hex", "hex16_fits",
+                     "address_plus", "invalid_utf8_op")])
+        for trial in range(8):
+            data = b"".join(
+                rng.choice(edges) if rng.random() < 0.05
+                else (good[rng.randrange(len(good))] + "\n").encode()
+                for _ in range(300))
+            path = tmp_path / f"mix{trial}.trc"
+            path.write_bytes(data)
+            monkeypatch.setattr(columnar, "BLOCK_BYTES",
+                                rng.choice([64, 500, 1 << 20]))
+            _assert_matches_scalar(ddr3_model, decoder, path, "k6")
+
+    @pytest.mark.parametrize("shards", [{0}, {1, 3}, {2}, {0, 1, 2, 3}])
+    def test_shard_masked_file_fold_parity(self, ddr3_model, tmp_path,
+                                           monkeypatch, shards):
+        decoder = AddressDecoder.from_device(ddr3_model.device,
+                                             channel_bits=1,
+                                             rank_bits=1)
+        lines = make_lines("k6", 1500,
+                           address_bits=decoder.address_bits)
+        lines.insert(700, "# a comment sends one block scalar")
+        path = tmp_path / "sharded.trc"
+        path.write_text("\n".join(lines) + "\n")
+        expect = TraceAccumulator(ddr3_model, strict=False)
+        expect.feed(commands_from_records(
+            (record for record in read_trace(path, "k6")
+             if decoder.shard_of(record.address) in shards),
+            decoder, DEFAULT_CLOCK))
+        monkeypatch.setattr(columnar, "BLOCK_BYTES", 4096)
+        folded = fold_file_shards(ddr3_model, path, "k6", decoder,
+                                  DEFAULT_CLOCK, shards)
+        assert _fingerprint(folded) == _fingerprint(expect)
 
 
 class TestStrictRejection:

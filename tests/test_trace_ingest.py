@@ -2,6 +2,8 @@
 
 import gzip
 import json
+import random
+import time
 
 import pytest
 
@@ -111,6 +113,34 @@ class TestByteStreams:
         blob = text.encode()
         chunks = [blob[i:i + 5] for i in range(0, len(blob), 5)]
         assert list(iter_lines(chunks)) == text.split("\n")
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_iter_lines_independent_of_chunking(self, seed):
+        rng = random.Random(seed)
+        # Multi-byte, invalid UTF-8, \r and blank lines; the last line
+        # is unterminated on odd seeds.
+        pieces = [b"0x10 READ 1", "0x20 \u00e9crit 2".encode(),
+                  b"bad \xff\xfe 3", b"", b"0x30 READ 3\r", b"\xe2\x82"]
+        blob = b"\n".join(rng.choice(pieces) for _ in range(300))
+        blob += b"\n" if seed % 2 == 0 else b"tail"
+        expect = [line.decode("utf-8", "replace")
+                  for line in blob.split(b"\n")]
+        if expect[-1] == "":
+            expect.pop()
+        assert list(iter_lines([blob])) == expect
+        for _ in range(20):
+            cuts = sorted(rng.sample(range(1, len(blob)),
+                                     rng.randint(1, 40)))
+            chunks = [blob[low:high] for low, high
+                      in zip([0] + cuts, cuts + [len(blob)])]
+            assert list(iter_lines(chunks)) == expect
+
+    def test_iter_lines_is_linear_in_chunk_size(self):
+        blob = b"0x7FF2C8A0 P_MEM_RD 186\n" * (4 * 1024 * 1024 // 24)
+        began = time.perf_counter()
+        count = sum(1 for _ in iter_lines([blob]))
+        assert time.perf_counter() - began < 1.0
+        assert count == len(blob) // 24
 
     def test_iter_decompressed_round_trip(self):
         payload = b"0x10 READ 1\n" * 500
