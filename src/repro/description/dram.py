@@ -5,17 +5,17 @@ A :class:`DramDescription` bundles the five information groups of the paper
 miscellaneous circuit information) plus voltages, timings and the default
 command pattern, and cross-validates them against each other.
 
-The :meth:`DramDescription.replace_path` helper rewrites one nested
-parameter by dotted path (``"technology.c_bitline"``,
-``"voltages.vint"``…); the sensitivity analysis of Figure 10 is built on
-it.
+The :meth:`DramDescription.replace_paths` helper rewrites nested
+parameters by dotted path (``"technology.c_bitline"``,
+``"voltages.vint"``…) in one validated rebuild; :meth:`replace_path` is its
+one-entry case, and the sensitivity analysis of Figure 10 is built on them.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, Tuple
+from typing import Any, Dict, Iterator, Mapping, Tuple
 
 from ..errors import DescriptionError
 from .floorplan import PhysicalFloorplan
@@ -25,6 +25,25 @@ from .signaling import SignalingFloorplan
 from .specification import Specification, TimingParameters
 from .technology import TechnologyParameters
 from .voltages import VoltageSet
+
+
+#: Dotted-path roots naming one component field (``root.field``); the
+#: floorplan's array is reached as ``floorplan.array.field``.
+_COMPONENT_ROOTS = ("technology", "voltages", "spec", "timing")
+
+
+def scaled_value(path: str, current: Any, factor: float) -> Any:
+    """``current`` (the value at ``path``) multiplied by ``factor``.
+
+    Integers stay integers (rounded), so scaling a bit count or a burst
+    length never yields a fraction; non-numeric values are refused.
+    """
+    if not isinstance(current, (int, float)) or isinstance(current, bool):
+        raise DescriptionError(f"parameter {path!r} is not numeric")
+    value: Any = current * factor
+    if isinstance(current, int):
+        value = int(round(value))
+    return value
 
 
 @dataclass(frozen=True)
@@ -93,8 +112,6 @@ class DramDescription:
                 f"number of sub-array rows ({array.rows_per_subarray} rows "
                 "each)"
             )
-        blocks = self.floorplan.array_block_count
-        banks = spec.banks
         if blocks % banks and banks % blocks:
             raise DescriptionError(
                 f"{blocks} array blocks cannot map onto {banks} banks"
@@ -165,30 +182,55 @@ class DramDescription:
     def replace_path(self, path: str, value: Any) -> "DramDescription":
         """Return a copy with the dotted-path parameter set to ``value``.
 
-        Supported roots: ``technology``, ``voltages``, ``spec``, ``timing``,
-        ``floorplan.array``, plus top-level scalar fields
-        (``constant_current``…).
+        The one-entry case of :meth:`replace_paths`.
 
         >>> lower_vint = device.replace_path("voltages.vint", 1.2)
         """
-        parts = path.split(".")
-        if len(parts) == 1:
-            return dataclasses.replace(self, **{parts[0]: value})
-        root, rest = parts[0], parts[1:]
-        if root == "floorplan":
-            if len(rest) == 2 and rest[0] == "array":
-                new_fp = self.floorplan.with_array(**{rest[1]: value})
-                return dataclasses.replace(self, floorplan=new_fp)
-            raise DescriptionError(
-                f"unsupported floorplan parameter path {path!r}"
-            )
-        if len(rest) != 1:
-            raise DescriptionError(f"unsupported parameter path {path!r}")
-        if root not in ("technology", "voltages", "spec", "timing"):
-            raise DescriptionError(f"unknown parameter root {root!r}")
-        component = getattr(self, root)
-        new_component = dataclasses.replace(component, **{rest[0]: value})
-        return dataclasses.replace(self, **{root: new_component})
+        return self.replace_paths({path: value})
+
+    def replace_paths(self, values: Mapping[str, Any]) -> "DramDescription":
+        """Return a copy with every dotted-path parameter in ``values`` set.
+
+        Supported roots: ``technology``, ``voltages``, ``spec``, ``timing``,
+        ``floorplan.array``, plus top-level fields (``constant_current``…).
+        Paths are grouped by root: each touched component is rebuilt once
+        and the description once, so every ``__post_init__`` check runs a
+        single time, on the result.  A path and a sub-path of it (a whole
+        ``technology`` and ``technology.c_bitline``) cannot be combined.
+
+        >>> corner = device.replace_paths({"voltages.vint": 1.2,
+        ...                                "technology.c_cell": 20e-15})
+        """
+        changes: Dict[str, Any] = {}
+        nested: Dict[str, Dict[str, Any]] = {}
+        for path, value in values.items():
+            parts = path.split(".")
+            if len(parts) == 1:
+                changes[path] = value
+                continue
+            root, rest = parts[0], parts[1:]
+            if root == "floorplan":
+                if len(rest) != 2 or rest[0] != "array":
+                    raise DescriptionError(
+                        f"unsupported floorplan parameter path {path!r}"
+                    )
+            elif len(rest) != 1:
+                raise DescriptionError(
+                    f"unsupported parameter path {path!r}")
+            elif root not in _COMPONENT_ROOTS:
+                raise DescriptionError(f"unknown parameter root {root!r}")
+            nested.setdefault(root, {})[rest[-1]] = value
+        for root, fields in nested.items():
+            if root in changes:
+                raise DescriptionError(
+                    f"parameter {root!r} is replaced both whole and by path"
+                )
+            if root == "floorplan":
+                changes[root] = self.floorplan.with_array(**fields)
+            else:
+                changes[root] = dataclasses.replace(getattr(self, root),
+                                                    **fields)
+        return dataclasses.replace(self, **changes)
 
     def get_path(self, path: str) -> Any:
         """Read the dotted-path parameter value (see :meth:`replace_path`)."""
@@ -199,13 +241,8 @@ class DramDescription:
 
     def scale_path(self, path: str, factor: float) -> "DramDescription":
         """Return a copy with the numeric parameter multiplied by ``factor``."""
-        current = self.get_path(path)
-        if not isinstance(current, (int, float)) or isinstance(current, bool):
-            raise DescriptionError(f"parameter {path!r} is not numeric")
-        value: Any = current * factor
-        if isinstance(current, int):
-            value = int(round(value))
-        return self.replace_path(path, value)
+        return self.replace_path(
+            path, scaled_value(path, self.get_path(path), factor))
 
     # ------------------------------------------------------------------
     def logic_block(self, name: str) -> LogicBlock:

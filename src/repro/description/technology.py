@@ -124,16 +124,16 @@ class TechnologyParameters:
     """Specific wire capacitance of general signaling wires (F/m)."""
 
     def __post_init__(self) -> None:
-        for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            if field.name == "share_bl_wl":
+        for name in _FIELD_NAMES:
+            value = getattr(self, name)
+            if name == "share_bl_wl":
                 if not 0.0 <= value <= 1.0:
                     raise DescriptionError(
                         "share_bl_wl must be a fraction in [0, 1], "
                         f"got {value}"
                     )
                 continue
-            if field.name == "mwl_dec_activity":
+            if name == "mwl_dec_activity":
                 if not 0.0 <= value <= 1.0:
                     raise DescriptionError(
                         "mwl_dec_activity must be in [0, 1], got "
@@ -142,7 +142,7 @@ class TechnologyParameters:
                 continue
             if value <= 0:
                 raise DescriptionError(
-                    f"technology parameter {field.name} must be positive, "
+                    f"technology parameter {name} must be positive, "
                     f"got {value}"
                 )
         if self.bits_per_csl != int(self.bits_per_csl):
@@ -196,8 +196,8 @@ class TechnologyParameters:
 
     def items(self) -> Iterator[Tuple[str, float]]:
         """Yield (name, value) for all 39 parameters."""
-        for field in dataclasses.fields(self):
-            yield field.name, getattr(self, field.name)
+        for name in _FIELD_NAMES:
+            yield name, getattr(self, name)
 
     def as_dict(self) -> Dict[str, float]:
         """Return the parameter set as a plain dict."""
@@ -206,4 +206,10 @@ class TechnologyParameters:
     @property
     def parameter_count(self) -> int:
         """Number of technology parameters (the paper states 39)."""
-        return len(dataclasses.fields(self))
+        return len(_FIELD_NAMES)
+
+
+#: The 39 field names in declaration order, looked up once instead of on
+#: every construction (validation and :meth:`TechnologyParameters.items`).
+_FIELD_NAMES = tuple(field.name for field in
+                     dataclasses.fields(TechnologyParameters))

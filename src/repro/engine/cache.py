@@ -262,6 +262,11 @@ class ModelCache:
         self.capacity = capacity
         self.disk = disk
         self._models: "OrderedDict[str, DramPowerModel]" = OrderedDict()
+        #: Keys whose LRU entry the vector kernel folded.  Its sums run
+        #: in another order (~1e-15 relative), so scalar lookups rebuild
+        #: those instead of reusing them: serial results never depend on
+        #: what a vector sweep left in the cache.
+        self._folded: set = set()
         self._lock = threading.Lock()
         self.stages = StageCache(
             max(DEFAULT_STAGE_CAPACITY, capacity * len(STAGE_ORDER)))
@@ -298,12 +303,12 @@ class ModelCache:
                ) -> Tuple[str, Optional[DramPowerModel]]:
         """``(fingerprint, cached model or None)`` — LRU probe only.
 
-        A hit counts as a hit; a miss counts *nothing* here — the
-        kernel either folds the model (counted as ``vector_builds``
-        via :meth:`record_vector`) or falls back to :meth:`model`,
-        which does its own accounting.  The disk cache is not
-        consulted: vector-built models are cheaper to refold than to
-        round-trip through pickle.
+        A hit — scalar-built or folded — counts as a hit; a miss
+        counts *nothing* here — the kernel either folds the model
+        (counted as ``vector_builds`` via :meth:`record_vector`) or
+        falls back to :meth:`model`, which does its own accounting.
+        The disk cache is not consulted: vector-built models are
+        cheaper to refold than to round-trip through pickle.
         """
         key = fingerprint(device)
         with self._lock:
@@ -315,11 +320,12 @@ class ModelCache:
 
     def store_built(self, key: str,
                     model: DramPowerModel) -> DramPowerModel:
-        """Insert an externally built model under ``key``.
+        """Insert a vector-folded model under ``key``.
 
         Keeps the first copy on a race (hits stay identity-stable)
-        and returns the canonical instance.  Vector-built models are
-        not written to the disk cache — see :meth:`lookup`.
+        and returns the canonical instance.  Folded models serve later
+        vector lookups only (see :meth:`model`) and are not written to
+        the disk cache — see :meth:`lookup`.
         """
         with self._lock:
             racing = self._models.get(key)
@@ -327,10 +333,16 @@ class ModelCache:
                 self._models.move_to_end(key)
                 return racing
             self._models[key] = model
-            while len(self._models) > self.capacity:
-                self._models.popitem(last=False)
-                self._evictions += 1
+            self._folded.add(key)
+            self._evict()
         return model
+
+    def _evict(self) -> None:
+        """Drop least-recently-used models beyond the capacity (locked)."""
+        while len(self._models) > self.capacity:
+            key, _ = self._models.popitem(last=False)
+            self._folded.discard(key)
+            self._evictions += 1
 
     def record_vector(self, batches: int = 0, builds: int = 0,
                       fallbacks: int = 0, seconds: float = 0.0) -> None:
@@ -355,7 +367,11 @@ class ModelCache:
 
         Lookup order: in-memory LRU, then the disk cache (when
         configured), then a cold build — which is persisted to disk so
-        the *next* process hits.  With ``events`` given
+        the *next* process hits.  A vector-folded LRU entry does not
+        answer here: it is rebuilt on the scalar path and replaced, so
+        the result equals a fresh serial session's bit for bit.
+
+        With ``events`` given
         (scheme-transformed charge lists) the returned model is built
         fresh around those events — it is never cached, since events
         are not part of the key — but it still reuses the cached
@@ -364,6 +380,8 @@ class ModelCache:
         key = fingerprint(device)
         with self._lock:
             cached = self._models.get(key)
+            if cached is not None and key in self._folded:
+                cached = None
             if cached is not None:
                 self._hits += 1
                 self._models.move_to_end(key)
@@ -390,7 +408,7 @@ class ModelCache:
                     if self.disk is not None:
                         self._disk_misses += 1
                 racing = self._models.get(key)
-                if racing is not None:
+                if racing is not None and key not in self._folded:
                     # Another thread built it first; keep one canonical
                     # model so hits stay identity-stable.
                     cached = racing
@@ -398,10 +416,10 @@ class ModelCache:
                 else:
                     cached = built
                     self._models[key] = cached
+                    self._models.move_to_end(key)
+                    self._folded.discard(key)
                     stored_fresh = loaded is None
-                    while len(self._models) > self.capacity:
-                        self._models.popitem(last=False)
-                        self._evictions += 1
+                    self._evict()
             if stored_fresh and self.disk is not None:
                 if self.disk.store(key, cached):
                     with self._lock:
@@ -465,6 +483,7 @@ class ModelCache:
         accumulating)."""
         with self._lock:
             self._models.clear()
+            self._folded.clear()
         self.stages.clear()
 
     def stats(self) -> EngineStats:

@@ -13,20 +13,37 @@ Because a variant is data (up to the custom-transform escape hatch), a
 sweep definition can be inspected, labelled and reused across base
 devices — exactly what the corner, Monte-Carlo and sensitivity sweeps
 need.
+
+Application folds each maximal run of path deltas (``scale``/``set``)
+into one :meth:`~repro.description.DramDescription.replace_paths`
+rebuild: the run's values are computed in delta order, each ``scale``
+reading its path's pending value (integers still round at every step),
+and the result is built and validated once.  A variant is therefore
+validated as a whole: one whose final description is valid is accepted
+even if applying its deltas one at a time would pass through an invalid
+state (raising ``voltages.vint`` before ``voltages.vdd``).  When the
+rebuild raises, or normalises a value it was given (a zero sentinel
+such as ``spec.burst_length = 0``), the run is replayed delta by delta,
+so errors name the delta that fails exactly as sequential application
+does.  ``logic`` and ``call`` deltas end a run and apply on their own.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Tuple
 
 from ..description import DramDescription
+from ..description.dram import scaled_value
 
 Transform = Callable[[DramDescription], DramDescription]
 
 #: Logic-block fields clamped to a physical ceiling of 1.0 when scaled.
 _LOGIC_UNIT_FIELDS = ("layout_density", "wiring_density", "toggle")
+
+#: Delta kinds that rewrite one dotted path and fold into one rebuild.
+_PATH_KINDS = ("scale", "set")
 
 
 @dataclass(frozen=True)
@@ -48,6 +65,38 @@ class _Delta:
         if self.kind == "logic":
             return _scale_logic_blocks(device, self.target, self.value)
         return self.value(device)
+
+
+def _apply_run(device: DramDescription,
+               run: List[_Delta]) -> DramDescription:
+    """Apply a run of path deltas as one validated rebuild.
+
+    Falls back to delta-by-delta application when the rebuild raises
+    (so the error is the one sequential application raises) or stores a
+    value other than the one computed for a path (a constructor
+    normalised it, and later deltas of the run may have read it).
+    """
+    if not run:
+        return device
+    values: Dict[str, Any] = {}
+    try:
+        for delta in run:
+            if delta.kind == "scale":
+                current = (values[delta.target] if delta.target in values
+                           else device.get_path(delta.target))
+                values[delta.target] = scaled_value(delta.target, current,
+                                                    delta.value)
+            else:
+                values[delta.target] = delta.value
+        folded = device.replace_paths(values)
+    except Exception:  # the replay below raises it as sequential does
+        folded = None
+    if folded is not None and all(folded.get_path(path) == value
+                                  for path, value in values.items()):
+        return folded
+    for delta in run:
+        device = delta.apply(device)
+    return device
 
 
 def _scale_logic_blocks(device: DramDescription, field: str,
@@ -114,10 +163,19 @@ class Variant:
 
     # -- application ---------------------------------------------------
     def apply(self, device: DramDescription) -> DramDescription:
-        """The base description with every delta applied in order."""
+        """The base description with every delta applied in order.
+
+        Each maximal run of path deltas is one validated rebuild (see the
+        module docstring); ``logic`` and ``call`` deltas apply alone.
+        """
+        run: List[_Delta] = []
         for delta in self.deltas:
-            device = delta.apply(device)
-        return device
+            if delta.kind in _PATH_KINDS:
+                run.append(delta)
+                continue
+            device = delta.apply(_apply_run(device, run))
+            run = []
+        return _apply_run(device, run)
 
     def __call__(self, device: DramDescription) -> DramDescription:
         return self.apply(device)
@@ -135,7 +193,7 @@ class Variant:
         """
         fields = set()
         for delta in self.deltas:
-            if delta.kind in ("scale", "set"):
+            if delta.kind in _PATH_KINDS:
                 fields.add(delta.target.split(".", 1)[0])
             elif delta.kind == "logic":
                 fields.add("logic_blocks")

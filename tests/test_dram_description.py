@@ -100,6 +100,60 @@ class TestPathHelpers:
         with pytest.raises(DescriptionError):
             ddr3_device.scale_path("name", 2.0)
 
+    @pytest.mark.parametrize("path, error, message", [
+        ("floorplan.array", DescriptionError,
+         "unsupported floorplan parameter path 'floorplan.array'"),
+        ("floorplan.horizontal.x", DescriptionError,
+         "unsupported floorplan parameter path 'floorplan.horizontal.x'"),
+        ("technology.a.b", DescriptionError,
+         "unsupported parameter path 'technology.a.b'"),
+        ("nonsense.vint", DescriptionError,
+         "unknown parameter root 'nonsense'"),
+        ("technology.nope", TypeError,
+         "TechnologyParameters.__init__() got an unexpected keyword "
+         "argument 'nope'"),
+        ("nope", TypeError,
+         "DramDescription.__init__() got an unexpected keyword "
+         "argument 'nope'"),
+        ("floorplan.array.nope", TypeError,
+         "ArrayArchitecture.__init__() got an unexpected keyword "
+         "argument 'nope'"),
+        ("voltages.vint", DescriptionError,
+         "vint (9.0 V) cannot exceed vdd (1.5 V)"),
+    ])
+    def test_replace_path_errors(self, ddr3_device, path, error, message):
+        with pytest.raises(error) as raised:
+            ddr3_device.replace_path(path, 9.0)
+        assert str(raised.value) == message
+
+    def test_replace_paths_equals_the_chain(self, ddr3_device):
+        values = {"technology.c_bitline": 50e-15, "voltages.vint": 1.2,
+                  "spec.col_bits": 11, "timing.trc": 55e-9,
+                  "floorplan.array.bits_per_swl": 256,
+                  "floorplan.array.bl_pitch": 1.2e-7,
+                  "technology.c_cell": 20e-15, "constant_current": 1e-3}
+        chained = ddr3_device
+        for path, value in values.items():
+            chained = chained.replace_path(path, value)
+        assert ddr3_device.replace_paths(values) == chained
+        assert ddr3_device.replace_paths({}) == ddr3_device
+
+    def test_replace_paths_validates_the_result_only(self, ddr3_device):
+        # vint above the old vdd is fine once vdd rises with it.
+        raised = ddr3_device.replace_paths({"voltages.vint": 1.6,
+                                            "voltages.vdd": 1.7})
+        assert (raised.voltages.vint, raised.voltages.vdd) == (1.6, 1.7)
+
+    @pytest.mark.parametrize("values", [
+        {"technology": None, "technology.c_cell": 20e-15},
+        {"floorplan.array.bits_per_swl": 256, "floorplan": None},
+    ])
+    def test_replace_paths_rejects_overlapping_paths(self, ddr3_device,
+                                                     values):
+        with pytest.raises(DescriptionError, match="both whole and by "
+                                                   "path"):
+            ddr3_device.replace_paths(values)
+
     def test_logic_block_lookup(self, ddr3_device):
         assert ddr3_device.logic_block("control").name == "control"
         with pytest.raises(KeyError):

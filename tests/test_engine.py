@@ -1,7 +1,11 @@
 """Engine package: fingerprints, model cache, sessions, variants."""
 
-import pytest
+import functools
 
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.analysis import corners, montecarlo
 from repro.analysis.sensitivity import PARAMETERS, sensitivity
 from repro.core.idd import idd7_mixed
 from repro.devices import build_device, ddr3_2g_55nm
@@ -15,7 +19,9 @@ from repro.engine import (
     fingerprint,
     scaling,
 )
-from repro.errors import ModelError
+from repro.description.dram import scaled_value
+from repro.errors import DescriptionError, ModelError
+from repro.technology.roadmap import nodes
 
 #: One dotted path per Table-I parameter group, to prove each group
 #: participates in the cache key.
@@ -220,3 +226,172 @@ class TestVariant:
         empty = Variant()
         assert not empty
         assert empty(ddr3_device) == ddr3_device
+
+    def test_variant_is_validated_as_a_whole(self, ddr3_device):
+        # Raising vint above today's vdd is invalid on its own; raising
+        # vdd afterwards makes the final description valid.  The folded
+        # rebuild accepts it, equal to the order that is valid
+        # delta by delta.
+        vint_first = (Variant().scaled("voltages.vint", 1.5)
+                      .scaled("voltages.vdd", 1.5))
+        vdd_first = (Variant().scaled("voltages.vdd", 1.5)
+                     .scaled("voltages.vint", 1.5))
+        with pytest.raises(DescriptionError, match="cannot exceed vdd"):
+            _delta_by_delta(vint_first, ddr3_device)
+        folded = vint_first.apply(ddr3_device)
+        assert folded == _delta_by_delta(vdd_first, ddr3_device)
+        assert folded == vdd_first.apply(ddr3_device)
+        assert fingerprint(folded) == fingerprint(
+            _delta_by_delta(vdd_first, ddr3_device))
+
+    def test_invalid_variant_raises_the_sequential_error(self, ddr3_device):
+        # The first failing delta is named, although validating the
+        # final technology would report c_bitline (declared earlier).
+        variant = (Variant().with_value("technology.share_bl_wl", 1.5)
+                   .scaled("technology.c_bitline", -1.0))
+        with pytest.raises(DescriptionError) as sequential:
+            _delta_by_delta(variant, ddr3_device)
+        with pytest.raises(DescriptionError) as folded:
+            variant.apply(ddr3_device)
+        assert str(folded.value) == str(sequential.value)
+        assert "share_bl_wl" in str(folded.value)
+
+    @pytest.mark.parametrize("variant", [
+        # burst_length 0 means "one prefetch"; the scale reads that.
+        Variant().with_value("spec.burst_length", 0)
+        .scaled("spec.burst_length", 2.0),
+        # trcd 0 is derived from the trc in force when it is set.
+        Variant().with_value("timing.trcd", 0.0)
+        .scaled("timing.trc", 1.25),
+        Variant().scaled("timing.trp", 0.0).scaled("timing.trc", 1.5),
+    ])
+    def test_normalised_values_replay_delta_by_delta(self, ddr3_device,
+                                                     variant):
+        expected = _delta_by_delta(variant, ddr3_device)
+        assert variant.apply(ddr3_device) == expected
+
+    def test_integer_paths_round_at_every_step(self, ddr3_device):
+        # 8 → 9 → 10, where one rounding at the end would give 9.68.
+        variant = (Variant().scaled("spec.n_misc_control", 1.1)
+                   .scaled("spec.n_misc_control", 1.1)
+                   .with_value("spec.burst_length", 8)
+                   .scaled("spec.burst_length", 1.1)
+                   .scaled("spec.burst_length", 1.1))
+        folded = variant.apply(ddr3_device)
+        assert folded == _delta_by_delta(variant, ddr3_device)
+        assert folded.spec.n_misc_control == 10
+        assert folded.spec.burst_length == 10
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_folded_apply_matches_delta_by_delta(self, data):
+        base = _variant_base(data.draw(st.sampled_from(nodes())),
+                             data.draw(st.sampled_from((4, 8, 16))))
+        variant = Variant()
+        pending = {}
+        for _ in range(data.draw(st.integers(1, 12))):
+            kind = data.draw(st.sampled_from(
+                ("scale", "scale", "scale", "set", "logic", "call")))
+            if kind == "logic":
+                variant = variant.scaled_logic(
+                    data.draw(st.sampled_from(_LOGIC_FIELDS)),
+                    data.draw(_FACTORS))
+                pending = None
+                continue
+            if kind == "call":
+                variant = variant.transformed(
+                    data.draw(st.sampled_from(_TRANSFORMS)))
+                pending = None
+                continue
+            # Revisit a path already in the variant half of the time.
+            seen = sorted(pending) if pending else []
+            path = data.draw(st.sampled_from(seen) if seen and data.draw(
+                st.booleans()) else st.sampled_from(_VARIANT_PATHS))
+            current = (pending[path] if pending and path in pending
+                       else base.get_path(path))
+            if kind == "scale":
+                factor = data.draw(_FACTORS)
+                variant = variant.scaled(path, factor)
+                value = scaled_value(path, current, factor)
+            else:
+                value = data.draw(st.sampled_from(
+                    (0, current, scaled_value(path, current, 1.1),
+                     scaled_value(path, current, 0.9))))
+                variant = variant.with_value(path, value)
+            if pending is not None:
+                pending[path] = value
+        _assert_matches_delta_by_delta(variant, base, pending)
+
+
+def _delta_by_delta(variant, device):
+    """The reference: every delta applied on its own, in order."""
+    for delta in variant.deltas:
+        device = delta.apply(device)
+    return device
+
+
+@functools.lru_cache(maxsize=None)
+def _variant_base(node, io_width):
+    return build_device(node, io_width=io_width)
+
+
+#: Monte-Carlo, corner and sensitivity paths, integer ``spec`` paths,
+#: the floorplan's array, timing fields that normalise a zero, and a
+#: top-level scalar.
+_VARIANT_PATHS = tuple(sorted(
+    {path for table in (montecarlo._GROUP_PATHS, corners._GROUP_PATHS)
+     for paths in table.values() for path in paths}
+    | {"voltages.vdd", "voltages.vpp", "technology.tox_logic",
+       "technology.w_cell", "technology.l_cell", "technology.share_bl_wl",
+       "technology.bits_per_csl", "spec.col_bits", "spec.row_bits",
+       "spec.bank_bits", "spec.prefetch", "spec.burst_length",
+       "spec.io_width", "floorplan.array.bits_per_swl",
+       "floorplan.array.bits_per_bitline", "floorplan.array.wl_pitch",
+       "floorplan.array.width_sa_stripe", "timing.trc", "timing.trcd",
+       "timing.trp", "constant_current"}))
+
+#: Mostly small perturbations (most draws stay valid), now and then a
+#: large one or a zero (which the spec and timing fields normalise).
+_FACTORS = st.one_of(st.floats(0.8, 1.25), st.sampled_from(
+    (0.0, 0.5, 0.9, 0.96, 1.0, 1.04, 1.1, 2.0)))
+
+_LOGIC_FIELDS = ("n_gates", "layout_density", "toggle")
+
+
+def _more_constant_current(device):
+    return device.evolve(constant_current=device.constant_current + 1e-3)
+
+
+def _lower_vpp(device):
+    return device.evolve(voltages=device.voltages.with_levels(
+        vpp=device.voltages.vpp * 0.9))
+
+
+_TRANSFORMS = (_more_constant_current, _lower_vpp)
+
+
+def _assert_matches_delta_by_delta(variant, base, pending):
+    try:
+        expected, expected_error = _delta_by_delta(variant, base), None
+    except Exception as exc:  # compared with the other side below
+        expected, expected_error = None, exc
+    try:
+        got, error = variant.apply(base), None
+    except Exception as exc:  # compared with the other side below
+        got, error = None, exc
+    if expected_error is None:
+        assert error is None, error
+        assert got == expected
+        assert fingerprint(got) == fingerprint(expected)
+    elif error is not None:
+        assert type(error) is type(expected_error)
+        assert str(error) == str(expected_error)
+    elif pending is not None:
+        # Accepted as a whole although an intermediate state was
+        # invalid: every path holds its final value and nothing else
+        # moved (restoring the paths gives the base back).
+        for path, value in pending.items():
+            assert got.get_path(path) == value
+        assert got.replace_paths(
+            {path: base.get_path(path) for path in pending}) == base

@@ -23,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.montecarlo import monte_carlo
 from repro.analysis.sensitivity import sensitivity
+from repro.analysis.verification import verify_ddr2, verify_ddr3
 from repro.devices import build_device
 from repro.engine import (MIN_BATCH, VECTOR, EvaluationSession,
                           build_family_models, choose_backend,
@@ -190,6 +191,45 @@ def test_partially_warm_batch_folds_the_remainder(ddr3_device):
     stats = session.stats
     assert stats.hits == 4
     assert stats.vector_builds == len(devices)
+
+
+@needs_numpy
+def test_scalar_lookup_never_returns_a_folded_model(ddr3_device):
+    devices = _technology_family(ddr3_device)
+    session = EvaluationSession()
+    session.map(devices, _power, backend="vector")
+    folded = session.stats
+    # Each scalar lookup rebuilds the folded entry on the scalar path
+    # and replaces it: bit-equal to a fresh serial session.
+    scalar = [_power(session.model(device)) for device in devices]
+    assert scalar == EvaluationSession().map(devices, _power,
+                                             backend="serial")
+    rebuilt = session.stats
+    assert rebuilt.misses == folded.misses + len(devices)
+    assert rebuilt.hits == folded.hits
+    # The scalar models now answer scalar and vector lookups alike.
+    session.map(devices, _power, backend="serial")
+    session.map(devices, _power, backend="vector")
+    warm = session.stats
+    assert warm.hits == rebuilt.hits + 2 * len(devices)
+    assert warm.misses == rebuilt.misses
+    assert warm.vector_builds == rebuilt.vector_builds
+
+
+@needs_numpy
+def test_verification_rows_ignore_an_earlier_vector_sweep():
+    # The sensitivity base point of this device is a Fig. 8/9 part:
+    # the vector sweep leaves its folded model in the LRU, and the
+    # serial verification that follows must not pick it up.
+    session = EvaluationSession()
+    sensitivity(build_device(75, io_width=8), session=session,
+                backend="vector")
+    monte_carlo(build_device(55, io_width=16), samples=16,
+                session=session, backend="vector")
+    assert session.stats.vector_builds
+    rows = verify_ddr2(session=session) + verify_ddr3(session=session)
+    fresh = EvaluationSession()
+    assert rows == verify_ddr2(session=fresh) + verify_ddr3(session=fresh)
 
 
 # ----------------------------------------------------------------------
